@@ -1,0 +1,17 @@
+# The recorded serving mix replayed by bench/bench_server.cc (load driver
+# and CI integration smoke). One Preference SQL statement per line; '#'
+# lines and blank lines are skipped. The mix runs against the datagen
+# car/trip tables (GenerateCars/GenerateTrips with the driver's
+# --rows/--seed), spanning the surface a serving deployment exercises:
+# skylines, prioritized/layered terms, grouping, ranked top-k, quality
+# supervision and plain selections.
+SELECT * FROM car PREFERRING LOWEST(price)
+SELECT oid, price, mileage FROM car PREFERRING LOWEST(price) AND LOWEST(mileage) AND HIGHEST(horsepower)
+SELECT * FROM car WHERE price < 30000 PREFERRING (category = 'roadster' ELSE category <> 'passenger') AND price AROUND 20000 CASCADE LOWEST(mileage)
+SELECT * FROM car PREFERRING LOWEST(price) GROUPING category
+SELECT TOP 10 oid, price, mileage FROM car PREFERRING LOWEST(price) AND LOWEST(mileage)
+SELECT * FROM car SKYLINE OF price MIN, mileage MIN
+SELECT * FROM car PREFERRING price AROUND 15000 BUT ONLY DISTANCE(price) <= 2000
+SELECT oid FROM car WHERE price < 42000 LIMIT 5
+SELECT * FROM trip PREFERRING LOWEST(price) AND HIGHEST(duration)
+SELECT TOP 5 oid, destination, price FROM trip PREFERRING LOWEST(price)
