@@ -1,5 +1,6 @@
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -9,12 +10,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "eval/bmo_internal.h"
+#include "eval/compiled_block.h"
 #include "eval/optimizer.h"
 #include "eval/ranked.h"
-#include "exec/parallel_bmo.h"
 #include "exec/score_table.h"
-#include "exec/thread_pool.h"
 #include "psql/error.h"
 #include "psql/translator.h"
 
@@ -35,9 +34,9 @@ struct Plan {
 
 /// Data-dependent half: everything derivable from (plan, table snapshot,
 /// options) that repeated Run() calls should not redo — the WHERE row
-/// set, the PhysicalPlan, the projection index and the compiled score
-/// table (per group for GROUPING statements). Immutable once built;
-/// concurrent Run() calls share it.
+/// set, the PhysicalPlan and the compiled blocks (one per group for
+/// GROUPING statements). Immutable once built; concurrent Run() calls
+/// share it.
 struct Exec {
   std::string table_name;
   uint64_t version = 0;
@@ -47,7 +46,8 @@ struct Exec {
   bool use_row_subset = false;
   /// The candidate pool: WHERE survivors — and for ranked queries, the
   /// BUT ONLY quality bound too (ranking draws from qualifying rows, so
-  /// TOP k fills k whenever k qualifying rows exist).
+  /// TOP k fills k whenever k qualifying rows exist). BMO block paths
+  /// move it into their blocks.
   std::vector<size_t> filtered_rows;
   std::function<bool(const Tuple&)> but_only;  // null when absent
   std::string preference_term;
@@ -58,25 +58,10 @@ struct Exec {
   /// The planned artifact: algorithm, kernel fields, parallel shape,
   /// statistics and the per-algorithm cost table.
   PhysicalPlan plan;
-  // BMO block path (ungrouped, non-decomposition): kernel inputs.
-  bool block_path = false;
-  // Zero-copy compile: score_table was built straight off the snapshot's
-  // column buffers (no projection index; proj.values stays empty) and its
-  // row i is candidate-pool position i — maximal flags map back by
-  // identity.
-  bool zero_copy = false;
-  ProjectionIndex proj;  // distinct projections over filtered_rows
-  std::optional<ScoreTable> score_table;
-  // GROUPING path (non-decomposition): per-group cached plans + compiled
-  // state, so warm runs do only per-group kernel work.
-  struct GroupExec {
-    std::vector<size_t> rows;  // global row indices of the group
-    ProjectionIndex proj;
-    std::optional<ScoreTable> table;
-    PhysicalPlan plan;
-  };
-  std::vector<GroupExec> groups;
-  bool grouped = false;
+  // BMO block path (non-decomposition): one compiled block, or one per
+  // group, so warm runs do only kernel work.
+  std::optional<internal::CompiledBlock> block;
+  std::vector<internal::CompiledBlock> groups;
   // Decomposition path: materialized WHERE result for the relation-level
   // cascade evaluator (null otherwise).
   std::shared_ptr<const Relation> filtered;
@@ -120,21 +105,21 @@ std::string TopKText(size_t k) {
   return k > 0 ? "k=" + std::to_string(k) : "k=all";
 }
 
-// Buckets the candidate pool by its projection onto `cols`, groups in
-// first-occurrence order; rows are global indices. Shared by the ranked
-// and BMO GROUPING paths.
-std::vector<std::vector<size_t>> GroupPoolRows(
-    const Relation& table, const std::vector<size_t>& cols, bool subset,
-    const std::vector<size_t>& filtered_rows, size_t pool_size) {
-  // Columnar equality coding instead of per-row Tuple::Project + hashing;
-  // codes come out in first-occurrence order, matching the old map.
-  GroupCoding coding =
-      ComputeGroupCoding(table, cols, subset ? &filtered_rows : nullptr);
-  std::vector<std::vector<size_t>> groups(coding.num_groups);
-  for (size_t i = 0; i < pool_size; ++i) {
-    groups[coding.codes[i]].push_back(subset ? filtered_rows[i] : i);
+// EXPLAIN's compile line for GROUPING: the groups' compile modes with
+// per-mode counts ("zero-copy x3, gather x1").
+std::string CompileSummary(const std::vector<internal::CompiledBlock>& groups) {
+  std::string out;
+  for (internal::CompileMode mode :
+       {internal::CompileMode::kZeroCopy, internal::CompileMode::kGather,
+        internal::CompileMode::kClosure}) {
+    const size_t n = std::count_if(
+        groups.begin(), groups.end(),
+        [mode](const internal::CompiledBlock& g) { return g.mode() == mode; });
+    if (n == 0) continue;
+    if (!out.empty()) out += ", ";
+    out += internal::CompileModeName(mode) + (" x" + std::to_string(n));
   }
-  return groups;
+  return out;
 }
 
 // Builds the exec entry for (plan, snapshot, options). Heavy: runs the
@@ -210,11 +195,9 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     if (!stmt.grouping.empty()) {
       // Def. 16 grouping under the ranked model: top k per group, groups
       // in deterministic first-occurrence order of the candidate pool.
-      const size_t n =
-          exec->use_row_subset ? exec->filtered_rows.size() : table.size();
-      exec->ranked_groups =
-          GroupPoolRows(table, table.ResolveColumns(stmt.grouping),
-                        exec->use_row_subset, exec->filtered_rows, n);
+      exec->ranked_groups = internal::GroupPoolRows(
+          table, table.ResolveColumns(stmt.grouping),
+          exec->use_row_subset ? &exec->filtered_rows : nullptr);
       plan_str += " -> ranked_groupby[" + exec->preference_term + ", " +
                   TopKText(stmt.top_k) + "]";
     } else {
@@ -261,71 +244,7 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
     }
     exec->exec_pref = exec_pref;
 
-    if (stmt.grouping.empty() &&
-        physical.algorithm != BmoAlgorithm::kDecomposition) {
-      // Block path: precompute the distinct-value index and compile the
-      // score table once; Run() then does only the kernel work.
-      exec->block_path = true;
-      t0 = Clock::now();
-      const std::vector<size_t>* pool_ptr =
-          exec->use_row_subset ? &exec->filtered_rows : nullptr;
-      // Zero-copy compile: numerical terms over NaN-free columns compile
-      // straight off the snapshot's column buffers, skipping the
-      // projection-index gather and dedup. Gated on a sampled
-      // distinctness probe — under heavy duplication the deduplicating
-      // gather shrinks the kernel input enough to win instead.
-      if (options.vectorize && pool_size > 0 &&
-          ScoreTable::CompilableColumnar(exec_pref, table) &&
-          LikelyMostlyDistinct(
-              table, table.ResolveColumns(exec_pref->attributes()),
-              pool_ptr)) {
-        exec->score_table =
-            ScoreTable::CompileColumnar(exec_pref, table, pool_ptr);
-        exec->zero_copy = exec->score_table.has_value();
-      }
-      if (exec->zero_copy) {
-        exec->proj.proj_schema = table.schema().Project(exec_pref->attributes());
-      } else {
-        exec->proj = BuildProjectionIndex(table, *exec_pref, pool_ptr);
-        if (options.vectorize && !exec->proj.values.empty()) {
-          exec->score_table =
-              ScoreTable::Compile(exec_pref, exec->proj.proj_schema,
-                                  exec->proj.values.data(),
-                                  exec->proj.values.size());
-        }
-      }
-      exec->compile_ns += ElapsedNs(t0, Clock::now());
-      // Stage 2 — refine the costed plan with measured block statistics
-      // (exact distinct counts, injectivity, the sampled window probe):
-      // the compiled table sees the actual data, so the refined choice
-      // supersedes the estimate-level one.
-      if (costed && exec->score_table) {
-        t0 = Clock::now();
-        PlanScope scope;
-        scope.allow_decomposition = false;
-        TermStats measured =
-            MeasureTermStats(*exec->score_table, exec_pref, pool_size);
-        physical = PlanPhysical(measured, options, scope);
-        exec->optimize_ns += ElapsedNs(t0, Clock::now());
-        if (stmt.explain) {
-          optimized.plan = physical;
-          exec->plan_details = optimized.Explain();
-        }
-      }
-      exec->plan = physical;
-      if (exec->score_table) {
-        const std::string variant = exec->score_table->KernelVariant(
-            physical.algorithm == BmoAlgorithm::kParallel
-                ? BmoAlgorithm::kAuto
-                : physical.algorithm,
-            physical);
-        exec->kernel_variant = physical.algorithm == BmoAlgorithm::kParallel
-                                   ? "parallel+" + variant
-                                   : variant;
-      } else {
-        exec->kernel_variant = "closure";
-      }
-    } else if (physical.algorithm == BmoAlgorithm::kDecomposition) {
+    if (physical.algorithm == BmoAlgorithm::kDecomposition) {
       // Decomposition cascade: relation-level evaluator; materialize the
       // WHERE result once and share it.
       t0 = Clock::now();
@@ -333,91 +252,67 @@ std::shared_ptr<const Exec> BuildExec(const Plan& plan,
           stmt.where ? std::make_shared<const Relation>(
                            table.SelectRows(exec->filtered_rows))
                      : exec->snapshot;
-      exec->grouped = !stmt.grouping.empty();
       exec->plan = physical;
       exec->compile_ns += ElapsedNs(t0, Clock::now());
       exec->kernel_variant = "closure";  // Prop 11 cascade, closure order
     } else {
-      // GROUPING path: group the candidate pool once and cache one
-      // compiled plan per group (projection index, score table, refined
-      // PhysicalPlan), so warm runs do only per-group kernel work.
-      exec->grouped = true;
+      // Block path: compile once — one block, or one per group — so Run()
+      // does only kernel work. Each block refines a costed plan with its
+      // measured statistics.
       t0 = Clock::now();
-      for (std::vector<size_t>& rows : GroupPoolRows(
-               table, table.ResolveColumns(stmt.grouping),
-               exec->use_row_subset, exec->filtered_rows, pool_size)) {
-        exec->groups.emplace_back();
-        exec->groups.back().rows = std::move(rows);
-      }
-      PlanScope group_scope;
-      // Multiple groups saturate the pool themselves; a single
-      // (degenerate) group runs inline, so partition-parallelism inside
-      // it stays on the table — the pre-plan behavior for skewed
-      // grouping keys.
-      group_scope.allow_parallel = exec->groups.size() == 1;
-      group_scope.allow_decomposition = false;
-      for (Exec::GroupExec& group : exec->groups) {
-        group.proj = BuildProjectionIndex(table, *exec_pref, &group.rows);
-        if (options.vectorize && !group.proj.values.empty()) {
-          group.table = ScoreTable::Compile(
-              exec_pref, group.proj.proj_schema, group.proj.values.data(),
-              group.proj.values.size());
-        }
-        if (options.algorithm == BmoAlgorithm::kAuto) {
-          TermStats group_stats =
-              group.table
-                  ? MeasureTermStats(*group.table, exec_pref,
-                                     group.rows.size())
-                  : EstimateClosureBlockStats(group.proj.proj_schema,
-                                              group.proj.values.size(),
-                                              group.rows.size(), exec_pref);
-          group.plan = PlanPhysical(group_stats, options, group_scope);
-        } else {
-          group.plan = PhysicalPlan::FromOptions(options);
-          if (group.plan.algorithm == BmoAlgorithm::kParallel &&
-              exec->groups.size() > 1) {
-            group.plan.algorithm = BmoAlgorithm::kAuto;
+      std::optional<std::vector<size_t>> pool;
+      if (exec->use_row_subset) pool = std::move(exec->filtered_rows);
+      if (stmt.grouping.empty()) {
+        exec->block.emplace(table, exec_pref, std::move(pool), options,
+                            physical);
+        physical = exec->block->plan();
+        exec->kernel_variant = exec->block->KernelVariant();
+      } else {
+        exec->groups = internal::CompileGroups(
+            table, exec_pref, table.ResolveColumns(stmt.grouping),
+            pool ? &*pool : nullptr, options);
+        // The grouped statement's estimate is the sum of the per-group
+        // plans actually executed.
+        if (costed) {
+          physical.estimated_ns = 0.0;
+          for (const internal::CompiledBlock& group : exec->groups) {
+            physical.estimated_ns += group.plan().estimated_ns;
           }
         }
-      }
-      // The grouped statement's estimate is the sum of the per-group
-      // plans actually executed — the stage-1 table-level estimate would
-      // make EXPLAIN's estimated-vs-actual comparison meaningless.
-      if (options.algorithm == BmoAlgorithm::kAuto) {
-        physical.estimated_ns = 0.0;
-        for (const Exec::GroupExec& group : exec->groups) {
-          physical.estimated_ns += group.plan.estimated_ns;
+        if (options.vectorize && ScoreTable::CompilableTerm(exec_pref)) {
+          const simd::KernelOps* ops = simd::ResolveKernel(options.simd);
+          exec->kernel_variant =
+              std::string("per-group[") + (ops ? ops->name : "rowwise") + "]";
+        } else {
+          exec->kernel_variant = "closure";
         }
-        if (stmt.explain) {
-          // The cost table above is the stage-1 table-level view; make
-          // explicit that execution runs one refined plan per group and
-          // that the reported estimate is their sum.
+      }
+      exec->compile_ns += ElapsedNs(t0, Clock::now());
+      exec->plan = physical;
+      if (stmt.explain && costed) {
+        if (exec->block) {
+          optimized.plan = physical;
+          exec->plan_details = optimized.Explain();
+        } else {
           exec->plan_details +=
               "grouping: " + std::to_string(exec->groups.size()) +
-              " group(s), plans refined per group; estimated cost is "
-              "the per-group sum\n";
+              " group(s), plans refined per group; estimated cost is the "
+              "per-group sum\n";
         }
-      }
-      exec->plan = physical;
-      exec->compile_ns += ElapsedNs(t0, Clock::now());
-      if (options.vectorize && ScoreTable::CompilableTerm(exec_pref)) {
-        const simd::KernelOps* ops = simd::ResolveKernel(options.simd);
-        exec->kernel_variant =
-            std::string("per-group[") + (ops ? ops->name : "rowwise") + "]";
-      } else {
-        exec->kernel_variant = "closure";
       }
     }
     plan_str += std::string(stmt.grouping.empty() ? " -> bmo[" : " -> bmo_groupby[") +
                 exec_pref->ToString() + ", " +
                 BmoAlgorithmName(exec->plan.algorithm) +
                 ", kernel=" + exec->kernel_variant + "]";
-    if (stmt.explain && !exec->plan_details.empty()) {
+    if (stmt.explain) {
       exec->plan_details += "kernel: " + exec->kernel_variant + "\n";
-      if (exec->block_path && exec->score_table) {
+      if (exec->block) {
         exec->plan_details += std::string("compile: ") +
-                              (exec->zero_copy ? "zero-copy" : "gather") +
+                              internal::CompileModeName(exec->block->mode()) +
                               "\n";
+      } else if (!exec->groups.empty()) {
+        exec->plan_details += "compile: " + CompileSummary(exec->groups) + "\n";
       }
     }
   }
@@ -440,7 +335,6 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
   Relation current;
   std::vector<double> utilities;
   const bool subset = exec.use_row_subset;
-  const size_t pool_size = subset ? exec.filtered_rows.size() : table.size();
 
   if (exec.ivm) {
     // Maintained view: the result row set is already known exactly.
@@ -466,28 +360,7 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
     }
     current = table.SelectRows(rows);
   } else if (plan.preference) {
-    if (exec.block_path) {
-      std::vector<size_t> rows;
-      if (exec.zero_copy) {
-        // Zero-copy table: row i is pool position i, no projection index.
-        std::vector<bool> maximal = internal::ExecuteBlockPlan(
-            nullptr, pool_size, exec.exec_pref, exec.proj.proj_schema,
-            &*exec.score_table, exec.plan);
-        for (size_t i = 0; i < pool_size; ++i) {
-          if (maximal[i]) rows.push_back(subset ? exec.filtered_rows[i] : i);
-        }
-      } else if (!exec.proj.values.empty()) {
-        std::vector<bool> maximal = internal::ExecuteBlockPlan(
-            exec.proj.values, exec.exec_pref, exec.proj.proj_schema,
-            exec.score_table ? &*exec.score_table : nullptr, exec.plan);
-        for (size_t i = 0; i < pool_size; ++i) {
-          if (maximal[exec.proj.row_to_value[i]]) {
-            rows.push_back(subset ? exec.filtered_rows[i] : i);
-          }
-        }
-      }
-      current = table.SelectRows(rows);
-    } else if (exec.filtered) {
+    if (exec.filtered) {
       // Decomposition cascade (grouped or not): relation-level evaluator
       // over the materialized WHERE result.
       BmoOptions run_options;
@@ -496,50 +369,16 @@ psql::QueryResult ExecuteExec(const Plan& plan, const Exec& exec) {
       run_options.vectorize = exec.plan.vectorize;
       run_options.simd = exec.plan.simd;
       run_options.bnl_tile_rows = exec.plan.bnl_tile_rows;
-      current = exec.grouped
-                    ? BmoGroupBy(*exec.filtered, exec.exec_pref,
-                                 stmt.grouping, run_options)
-                    : Bmo(*exec.filtered, exec.exec_pref, run_options);
+      current = stmt.grouping.empty()
+                    ? Bmo(*exec.filtered, exec.exec_pref, run_options)
+                    : BmoGroupBy(*exec.filtered, exec.exec_pref,
+                                 stmt.grouping, run_options);
     } else {
-      // GROUPING: per-group kernel work over the cached per-group plans
-      // and compiled tables.
-      std::vector<size_t> rows;
-      auto run_group = [&exec](const Exec::GroupExec& group,
-                               std::vector<size_t>* out) {
-        if (group.proj.values.empty()) return;
-        // kParallel only ever reaches here for a single (degenerate)
-        // group, which runs inline — the pool is free for the fan-out.
-        std::vector<bool> maximal = internal::ExecuteBlockPlan(
-            group.proj.values, exec.exec_pref, group.proj.proj_schema,
-            group.table ? &*group.table : nullptr, group.plan);
-        for (size_t i = 0; i < group.rows.size(); ++i) {
-          if (maximal[group.proj.row_to_value[i]]) {
-            out->push_back(group.rows[i]);
-          }
-        }
-      };
-      ThreadPool& pool = ThreadPool::Shared();
-      const size_t threads =
-          ThreadPool::ResolveThreads(exec.plan.num_threads);
-      if (exec.groups.size() > 1 && threads > 1 && !pool.OnWorkerThread()) {
-        std::vector<std::vector<size_t>> results(exec.groups.size());
-        pool.ParallelForChunks(
-            exec.groups.size(), threads, 1,
-            [&exec, &results, &run_group](size_t, size_t begin, size_t end) {
-              for (size_t g = begin; g < end; ++g) {
-                run_group(exec.groups[g], &results[g]);
-              }
-            });
-        for (const auto& group_rows : results) {
-          rows.insert(rows.end(), group_rows.begin(), group_rows.end());
-        }
-      } else {
-        for (const Exec::GroupExec& group : exec.groups) {
-          run_group(group, &rows);
-        }
-      }
-      std::sort(rows.begin(), rows.end());
-      current = table.SelectRows(rows);
+      // Kernel work over the cached block(s); groups fan out on the pool.
+      current = table.SelectRows(
+          exec.block ? exec.block->MaximalRows()
+                     : internal::MaximalRows(exec.groups,
+                                             exec.plan.num_threads));
     }
     if (exec.but_only) {
       current = current.Filter(exec.but_only);
@@ -1194,28 +1033,32 @@ Engine::Subscription Engine::Subscribe(const std::string& sql,
                                  : options_.max_pending_deltas;
   const std::string prefix = plan->key + "|" + OptionsSignature(options);
   // Copy-on-write style retry: seed the view outside the lock against a
-  // snapshot, install it only if the table version has not moved.
-  for (;;) {
-    std::shared_ptr<const Relation> snapshot;
-    uint64_t version = 0;
-    {
-      auto lock = Lock();
-      snapshot = catalog_.GetShared(stmt.table);  // throws when unknown
-      version = catalog_.Version(stmt.table);
-      for (auto& slot : views_[stmt.table]) {
-        if (slot->exec_key_prefix == prefix) {
-          return AttachSubscriber(*slot, max_pending);
-        }
+  // snapshot, install it only if the table version has not moved. After
+  // kOptimisticSeeds raced seeds, seed under the lock instead: a steady
+  // write stream would otherwise starve the subscriber indefinitely.
+  constexpr int kOptimisticSeeds = 2;
+  for (int attempt = 0;; ++attempt) {
+    const bool optimistic = attempt < kOptimisticSeeds;
+    auto lock = Lock();
+    std::shared_ptr<const Relation> snapshot =
+        catalog_.GetShared(stmt.table);  // throws when unknown
+    const uint64_t version = catalog_.Version(stmt.table);
+    for (auto& slot : views_[stmt.table]) {
+      if (slot->exec_key_prefix == prefix) {
+        return AttachSubscriber(*slot, max_pending);
       }
     }
+    if (optimistic) lock.unlock();
     std::function<bool(const Tuple&)> where;
     if (stmt.where) {
       where = psql::CompileCondition(*stmt.where, snapshot->schema());
     }
     auto view = std::make_shared<ivm::MaintainedView>(
         plan->preference, std::move(where), *snapshot, version, options);
-    auto lock = Lock();
-    if (catalog_.Version(stmt.table) != version) continue;  // raced; reseed
+    if (optimistic) {
+      lock = Lock();
+      if (catalog_.Version(stmt.table) != version) continue;  // raced
+    }
     auto slot = std::make_shared<ViewSlot>();
     slot->view = std::move(view);
     slot->plan = plan;

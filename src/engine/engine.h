@@ -12,11 +12,10 @@
 //                                     parsed AST + translated preference
 //                                     term (data-independent);
 //                     - exec cache:   (statement, table version, options) ->
-//                                     the PhysicalPlan, WHERE row set,
-//                                     projection index and compiled
-//                                     ScoreTable — including per-group
-//                                     plans + compiled state for GROUPING
-//                                     statements (data-dependent).
+//                                     the PhysicalPlan and the compiled
+//                                     blocks (eval/compiled_block.h): one
+//                                     for an ungrouped statement, one per
+//                                     group for GROUPING (data-dependent).
 //   PreparedQuery   Engine::Prepare(sql)'s handle on a cached plan;
 //                   Run() does only the BMO kernel work (or the ranked
 //                   sort) plus result materialization on a warm cache.

@@ -4,16 +4,14 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
-#include <unordered_map>
 
 #include "core/numeric_preferences.h"
 #include "eval/bmo_internal.h"
+#include "eval/compiled_block.h"
 #include "eval/decomposition.h"
 #include "exec/parallel_bmo.h"
 #include "exec/score_table.h"
 #include "exec/simd/dominance.h"
-#include "exec/thread_pool.h"
 
 namespace prefdb {
 
@@ -350,18 +348,6 @@ std::vector<bool> MaximaDivideConquerFlat(const double* scores, size_t n,
   return maximal;
 }
 
-std::vector<bool> MaximaDivideConquer(
-    const std::vector<std::vector<double>>& scores) {
-  if (scores.empty()) return {};
-  const size_t d = scores[0].size();
-  if (d == 0) return std::vector<bool>(scores.size(), false);
-  std::vector<double> flat(scores.size() * d);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    std::copy(scores[i].begin(), scores[i].end(), flat.begin() + i * d);
-  }
-  return MaximaDivideConquerFlat(flat.data(), scores.size(), d, d);
-}
-
 bool CanUseDivideConquer(const PrefPtr& p, std::vector<PrefPtr>* leaves) {
   switch (p->kind()) {
     case PreferenceKind::kPareto: {
@@ -401,17 +387,7 @@ BmoAlgorithm ResolveBlockAlgorithm(const PrefPtr& p,
 std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const PrefPtr& p,
                                      const Schema& proj_schema,
-                                     const PhysicalPlan& plan) {
-  BmoAlgorithm algo = plan.algorithm;
-  if (plan.vectorize) {
-    if (auto table = ScoreTable::Compile(p, proj_schema, values, count)) {
-      // kAuto resolves with the table's data-aware rules (D&C when score
-      // dominance is exact, SFS whenever keys compile — a superset of the
-      // closure path's eligibility); ineligible requests degrade to BNL
-      // inside MaximaRange.
-      return table->MaximaRange(algo, 0, count, plan);
-    }
-  }
+                                     BmoAlgorithm algo) {
   if (algo == BmoAlgorithm::kAuto) {
     algo = ResolveBlockAlgorithm(p, proj_schema);
   }
@@ -435,11 +411,11 @@ std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
       for (const auto& leaf : leaves) {
         fns.push_back((*leaf->BindSortKeys(proj_schema))[0]);
       }
-      std::vector<std::vector<double>> scores(count);
+      const size_t d = fns.size();
+      std::vector<double> scores(count * d);
       for (size_t i = 0; i < count; ++i) {
-        scores[i].reserve(fns.size());
-        for (const auto& f : fns) {
-          double v = f(values[i]);
+        for (size_t k = 0; k < d; ++k) {
+          double v = fns[k](values[i]);
           if (std::isnan(v)) {
             // NaN scores break the recursion's sort comparator (UB) and
             // compare false against everything, so score dominance no
@@ -447,10 +423,10 @@ std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
             // same contract as MaximaSortFilterRange's key guard.
             return MaximaBnlRange(values, count, p->Bind(proj_schema));
           }
-          scores[i].push_back(v);
+          scores[i * d + k] = v;
         }
       }
-      return MaximaDivideConquer(scores);
+      return MaximaDivideConquerFlat(scores.data(), count, d, d);
     }
     case BmoAlgorithm::kDecomposition:
     case BmoAlgorithm::kParallel:
@@ -471,9 +447,7 @@ std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,
   if (table != nullptr) {
     return table->MaximaRange(plan.algorithm, 0, count, plan);
   }
-  PhysicalPlan closure_plan = plan;
-  closure_plan.vectorize = false;  // compilation was already attempted
-  return ComputeMaximaBlock(values, count, p, proj_schema, closure_plan);
+  return ComputeMaximaBlock(values, count, p, proj_schema, plan.algorithm);
 }
 
 std::vector<bool> ExecuteBlockPlan(const std::vector<Tuple>& values,
@@ -487,137 +461,38 @@ std::vector<bool> ExecuteBlockPlan(const std::vector<Tuple>& values,
 
 }  // namespace internal
 
-namespace {
-
-/// Plans one distinct-value block: measured statistics from the compiled
-/// table when available (exact column distinct counts + the sampled
-/// window probe), a cheap structural estimate otherwise. Relation-level
-/// decomposition is not considered here — the optimizer routes it before
-/// the block is materialized.
-PhysicalPlan PlanBlock(const ProjectionIndex& proj, const PrefPtr& p,
-                       const ScoreTable* table, size_t input_rows,
-                       const BmoOptions& options) {
-  PlanScope scope;
-  scope.allow_decomposition = false;
-  if (options.algorithm != BmoAlgorithm::kAuto) {
-    return PlanPhysical(TermStats{}, options, scope);
-  }
-  TermStats stats =
-      table != nullptr
-          ? MeasureTermStats(*table, p, input_rows)
-          : EstimateClosureBlockStats(proj.proj_schema, proj.values.size(),
-                                      input_rows, p);
-  return PlanPhysical(stats, options, scope);
-}
-
-}  // namespace
-
 std::vector<size_t> BmoIndices(const Relation& r, const PrefPtr& p,
                                const BmoOptions& options) {
   if (r.empty()) return {};
   if (options.algorithm == BmoAlgorithm::kDecomposition) {
     return BmoDecompositionIndices(r, p);
   }
-  // Zero-copy fast path: compile straight off the column buffers — no
-  // projection index, no dedup, identity row mapping. Gated on a sampled
-  // distinctness probe: with heavy duplication the deduplicating gather
-  // below shrinks the kernel input enough to win instead.
-  if (options.vectorize && ScoreTable::CompilableColumnar(p, r) &&
-      LikelyMostlyDistinct(r, r.ResolveColumns(p->attributes()))) {
-    if (auto table = ScoreTable::CompileColumnar(p, r)) {
-      Schema proj_schema = r.schema().Project(p->attributes());
-      PhysicalPlan plan =
-          PlanBlock(ProjectionIndex{}, p, &*table, r.size(), options);
-      std::vector<bool> maximal = internal::ExecuteBlockPlan(
-          nullptr, r.size(), p, proj_schema, &*table, plan);
-      std::vector<size_t> rows;
-      for (size_t i = 0; i < r.size(); ++i) {
-        if (maximal[i]) rows.push_back(i);
-      }
-      return rows;
-    }
-  }
-  ProjectionIndex proj = BuildProjectionIndex(r, *p);
-  std::optional<ScoreTable> table;
-  if (options.vectorize && !proj.values.empty()) {
-    table = ScoreTable::Compile(p, proj.proj_schema, proj.values.data(),
-                                proj.values.size());
-  }
-  PhysicalPlan plan =
-      PlanBlock(proj, p, table ? &*table : nullptr, r.size(), options);
-  std::vector<bool> maximal = internal::ExecuteBlockPlan(
-      proj.values, p, proj.proj_schema, table ? &*table : nullptr, plan);
-  std::vector<size_t> rows;
-  for (size_t i = 0; i < r.size(); ++i) {
-    if (maximal[proj.row_to_value[i]]) rows.push_back(i);
-  }
-  return rows;
+  return internal::CompiledBlock(r, p, std::nullopt, options,
+                                 PhysicalPlan::FromOptions(options))
+      .MaximalRows();
 }
 
 Relation Bmo(const Relation& r, const PrefPtr& p, const BmoOptions& options) {
   return r.SelectRows(BmoIndices(r, p, options));
 }
 
-namespace {
-
-// σ[P] row indices for one group, projecting the group's rows in place
-// (no SelectRows deep copy). Appends qualifying *global* row indices.
-void BmoGroupMaxima(const Relation& r, const std::vector<size_t>& rows,
-                    const PrefPtr& p, const PhysicalPlan& plan,
-                    std::vector<size_t>* out) {
-  ProjectionIndex proj = BuildProjectionIndex(r, *p, &rows);
-  std::vector<bool> maximal =
-      internal::ComputeMaximaBlock(proj.values, p, proj.proj_schema, plan);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (maximal[proj.row_to_value[i]]) out->push_back(rows[i]);
-  }
-}
-
-}  // namespace
-
 std::vector<size_t> BmoGroupByIndices(
     const Relation& r, const PrefPtr& p,
     const std::vector<std::string>& group_attrs, const BmoOptions& options) {
   if (r.empty()) return {};
   std::vector<size_t> group_cols = r.ResolveColumns(group_attrs);
-  auto groups = r.GroupIndicesBy(group_cols);
-  std::vector<size_t> out;
-
-  ThreadPool& pool = ThreadPool::Shared();
-  const size_t threads = ThreadPool::ResolveThreads(options.num_threads);
+  if (options.algorithm != BmoAlgorithm::kDecomposition) {
+    return internal::MaximalRows(
+        internal::CompileGroups(r, p, group_cols, nullptr, options),
+        options.num_threads);
+  }
   // The decomposition evaluator is relation-level (it cascades through
-  // BmoDecompositionIndices), so it keeps the materializing path; every
-  // block algorithm runs straight off the groups' row lists. Per-group
-  // evaluation never nests kParallel: groups already saturate the pool.
-  if (options.algorithm != BmoAlgorithm::kDecomposition && groups.size() > 1 &&
-      threads > 1 && !pool.OnWorkerThread()) {
-    std::vector<const std::vector<size_t>*> group_rows;
-    group_rows.reserve(groups.size());
-    for (const auto& [key, rows] : groups) group_rows.push_back(&rows);
-    // Per-group pass-through plan: the block algorithm resolves
-    // data-aware inside each group (groups already saturate the pool, so
-    // kParallel never nests).
-    PhysicalPlan group_plan = PhysicalPlan::FromOptions(options);
-    if (group_plan.algorithm == BmoAlgorithm::kParallel) {
-      group_plan.algorithm = BmoAlgorithm::kAuto;
-    }
-    std::vector<std::vector<size_t>> results(group_rows.size());
-    pool.ParallelForChunks(
-        group_rows.size(), threads, 1,
-        [&](size_t, size_t begin, size_t end) {
-          for (size_t g = begin; g < end; ++g) {
-            BmoGroupMaxima(r, *group_rows[g], p, group_plan, &results[g]);
-          }
-        });
-    for (const auto& rows : results) {
-      out.insert(out.end(), rows.begin(), rows.end());
-    }
-  } else {
-    for (const auto& [key, rows] : groups) {
-      Relation group = r.SelectRows(rows);
-      for (size_t local : BmoIndices(group, p, options)) {
-        out.push_back(rows[local]);
-      }
+  // BmoDecompositionIndices), so each group is materialized.
+  std::vector<size_t> out;
+  for (const std::vector<size_t>& rows :
+       internal::GroupPoolRows(r, group_cols, nullptr)) {
+    for (size_t local : BmoDecompositionIndices(r.SelectRows(rows), p)) {
+      out.push_back(rows[local]);
     }
   }
   std::sort(out.begin(), out.end());

@@ -145,18 +145,15 @@ std::vector<bool> MaximaBnl(const std::vector<Tuple>& values,
 std::vector<bool> MaximaSortFilter(const std::vector<Tuple>& values,
                                    const LessFn& less,
                                    const std::vector<ScoreFn>& keys);
-/// [KLP75] divide & conquer over numeric score vectors; `scores[i]` is the
-/// to-maximize vector of values[i]. Exact iff the preference order equals
-/// coordinatewise score dominance (see CanUseDivideConquer).
-std::vector<bool> MaximaDivideConquer(
-    const std::vector<std::vector<double>>& scores);
-
 namespace simd {
 struct KernelOps;
 }  // namespace simd
 
-/// Same, over a flat row-major matrix: row i is the `d` doubles at
-/// `scores + i * stride`. The zero-copy entry point for the vectorized
+/// [KLP75] divide & conquer over numeric to-maximize score vectors, as a
+/// flat row-major matrix: row i is the `d` doubles at
+/// `scores + i * stride`. Exact iff the preference order equals
+/// coordinatewise score dominance (see CanUseDivideConquer). Serves the
+/// closure path (one gathered buffer) and, zero-copy, the vectorized
 /// score-table kernels (exec/score_table.h). A non-null `kernel` runs the
 /// quadratic base-case blocks through the batch dominance kernels
 /// (exec/simd/dominance.h) with a correspondingly larger cutoff.

@@ -22,32 +22,30 @@ namespace prefdb::internal {
 /// otherwise. Never returns kAuto, kParallel or kDecomposition.
 BmoAlgorithm ResolveBlockAlgorithm(const PrefPtr& p, const Schema& proj_schema);
 
-/// Maximal-value flags for the `count` values at `values`, under p bound
-/// against proj_schema, executing `plan`: its algorithm (kAuto resolves
-/// data-aware per block — via the compiled table when plan.vectorize and
-/// the term compiles, else ResolveBlockAlgorithm), its vectorize switch
-/// and its kernel fields (SIMD mode, BNL tile size). Takes a raw range so
+/// Closure-path maximal-value flags for the `count` values at `values`,
+/// under p bound against proj_schema, running `algo` (kAuto resolves via
+/// ResolveBlockAlgorithm). Never compiles: compilation is
+/// decided once per block (eval/compiled_block.h). Takes a raw range so
 /// partition-parallel callers can evaluate contiguous slices without
 /// copying tuples. kParallel and kDecomposition are relation-level
 /// strategies, not block algorithms; they fall back to BNL here.
 std::vector<bool> ComputeMaximaBlock(const Tuple* values, size_t count,
                                      const PrefPtr& p,
                                      const Schema& proj_schema,
-                                     const PhysicalPlan& plan);
+                                     BmoAlgorithm algo);
 
 inline std::vector<bool> ComputeMaximaBlock(const std::vector<Tuple>& values,
                                             const PrefPtr& p,
                                             const Schema& proj_schema,
-                                            const PhysicalPlan& plan) {
+                                            BmoAlgorithm algo) {
   return ComputeMaximaBlock(values.data(), values.size(), p, proj_schema,
-                            plan);
+                            algo);
 }
 
 /// Executes a planned block over an (optionally) precompiled table — the
 /// one dispatch every consumer shares: kParallel routes to the
 /// partition-and-merge engine (handing the table in), a compiled table
-/// runs its kernels directly, and a null table falls back to the closure
-/// path without re-attempting compilation. `values` may be null when
+/// runs its kernels directly, and a null table runs the closure path. `values` may be null when
 /// `table` is non-null (the zero-copy columnar compile has no
 /// materialized value block); every table-backed path reads only `count`.
 std::vector<bool> ExecuteBlockPlan(const Tuple* values, size_t count,

@@ -82,12 +82,6 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
                  : internal::ResolveBlockAlgorithm(p, proj_schema);
   }
 
-  // The closure fallback plan: block evaluation without recompiling the
-  // table that already failed (or was disabled) above.
-  PhysicalPlan closure_plan = plan;
-  closure_plan.vectorize = false;
-  closure_plan.algorithm = algo;
-
   ThreadPool& pool = ThreadPool::Shared();
   const size_t threads = ThreadPool::ResolveThreads(plan.num_threads);
   const size_t min_part = std::max<size_t>(1, plan.min_partition_size);
@@ -96,8 +90,7 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
     // Too small to split, or already on a pool worker (where blocking on
     // further pool tasks could deadlock): evaluate sequentially.
     if (table) return table->MaximaRange(algo, 0, m, plan);
-    return internal::ComputeMaximaBlock(values, m, p, proj_schema,
-                                        closure_plan);
+    return internal::ComputeMaximaBlock(values, m, p, proj_schema, algo);
   }
 
   // Phase 1: local maxima per contiguous partition, in parallel. Each
@@ -105,13 +98,12 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
   std::vector<std::vector<size_t>> local(parts);
   pool.ParallelForChunks(
       m, parts, min_part,
-      [&values, &p, &proj_schema, &local, &table, &plan, &closure_plan, algo](
+      [&values, &p, &proj_schema, &local, &table, &plan, algo](
           size_t c, size_t begin, size_t end) {
         std::vector<bool> flags =
             table ? table->MaximaRange(algo, begin, end, plan)
                   : internal::ComputeMaximaBlock(values + begin, end - begin,
-                                                 p, proj_schema,
-                                                 closure_plan);
+                                                 p, proj_schema, algo);
         for (size_t i = begin; i < end; ++i) {
           if (flags[i - begin]) local[c].push_back(i);
         }
@@ -130,8 +122,8 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
     std::vector<std::vector<size_t>> next(pairs + lists.size() % 2);
     pool.ParallelForChunks(
         pairs, pairs, 1,
-        [&values, &p, &proj_schema, &lists, &next, &table, &plan,
-         &closure_plan, algo](size_t, size_t begin, size_t end) {
+        [&values, &p, &proj_schema, &lists, &next, &table, &plan, algo](
+            size_t, size_t begin, size_t end) {
           for (size_t k = begin; k < end; ++k) {
             const std::vector<size_t>& a = lists[2 * k];
             const std::vector<size_t>& b = lists[2 * k + 1];
@@ -149,8 +141,7 @@ std::vector<bool> MaximaParallel(const Tuple* values, size_t m,
                 cand_values.reserve(cand.size());
                 for (size_t i : cand) cand_values.push_back(values[i]);
                 flags = internal::ComputeMaximaBlock(cand_values, p,
-                                                     proj_schema,
-                                                     closure_plan);
+                                                     proj_schema, algo);
               }
               for (size_t i = 0; i < cand.size(); ++i) {
                 if (flags[i]) next[k].push_back(cand[i]);

@@ -28,7 +28,9 @@ struct QueryStats {
   uint64_t parse_ns = 0;
   uint64_t translate_ns = 0;
   uint64_t optimize_ns = 0;
-  uint64_t compile_ns = 0;  // WHERE filter + projection index + score table
+  // WHERE filter + block compile, including the block's refinement of
+  // the plan from measured statistics.
+  uint64_t compile_ns = 0;
   uint64_t execute_ns = 0;  // BMO kernel / ranked sort + materialization
   uint64_t total_ns = 0;
   /// Parse+translate served from the engine's plan cache (always true for

@@ -16,37 +16,16 @@ bool ParseCount(const std::string& value, uint64_t* out) {
   return true;
 }
 
-const char* AlgorithmName(BmoAlgorithm algorithm) {
-  switch (algorithm) {
-    case BmoAlgorithm::kAuto:
-      return "auto";
-    case BmoAlgorithm::kNaive:
-      return "naive";
-    case BmoAlgorithm::kBlockNestedLoop:
-      return "bnl";
-    case BmoAlgorithm::kSortFilter:
-      return "sfs";
-    case BmoAlgorithm::kDivideConquer:
-      return "dc";
-    case BmoAlgorithm::kParallel:
-      return "parallel";
-  }
-  return "auto";
-}
+// Every value of the option enums; their wire names are the shared
+// BmoAlgorithmName / SimdModeName spellings.
+constexpr BmoAlgorithm kAlgorithms[] = {
+    BmoAlgorithm::kAuto,          BmoAlgorithm::kNaive,
+    BmoAlgorithm::kBlockNestedLoop,
+    BmoAlgorithm::kSortFilter,    BmoAlgorithm::kDivideConquer,
+    BmoAlgorithm::kDecomposition, BmoAlgorithm::kParallel};
 
-const char* SimdName(SimdMode simd) {
-  switch (simd) {
-    case SimdMode::kAuto:
-      return "auto";
-    case SimdMode::kOff:
-      return "off";
-    case SimdMode::kScalar:
-      return "scalar";
-    case SimdMode::kAvx2:
-      return "avx2";
-  }
-  return "auto";
-}
+constexpr SimdMode kSimdModes[] = {SimdMode::kAuto, SimdMode::kOff,
+                                   SimdMode::kScalar, SimdMode::kAvx2};
 
 }  // namespace
 
@@ -81,36 +60,22 @@ std::string SessionOptions::Apply(const std::string& name,
     return "";
   }
   if (name == "algorithm") {
-    if (value == "auto") {
-      bmo.algorithm = BmoAlgorithm::kAuto;
-    } else if (value == "naive") {
-      bmo.algorithm = BmoAlgorithm::kNaive;
-    } else if (value == "bnl") {
-      bmo.algorithm = BmoAlgorithm::kBlockNestedLoop;
-    } else if (value == "sfs") {
-      bmo.algorithm = BmoAlgorithm::kSortFilter;
-    } else if (value == "dc") {
-      bmo.algorithm = BmoAlgorithm::kDivideConquer;
-    } else if (value == "parallel") {
-      bmo.algorithm = BmoAlgorithm::kParallel;
-    } else {
-      return "unknown algorithm '" + value + "'";
+    for (BmoAlgorithm algorithm : kAlgorithms) {
+      if (value == BmoAlgorithmName(algorithm)) {
+        bmo.algorithm = algorithm;
+        return "";
+      }
     }
-    return "";
+    return "unknown algorithm '" + value + "'";
   }
   if (name == "simd") {
-    if (value == "auto") {
-      bmo.simd = SimdMode::kAuto;
-    } else if (value == "off") {
-      bmo.simd = SimdMode::kOff;
-    } else if (value == "scalar") {
-      bmo.simd = SimdMode::kScalar;
-    } else if (value == "avx2") {
-      bmo.simd = SimdMode::kAvx2;
-    } else {
-      return "unknown simd mode '" + value + "'";
+    for (SimdMode simd : kSimdModes) {
+      if (value == SimdModeName(simd)) {
+        bmo.simd = simd;
+        return "";
+      }
     }
-    return "";
+    return "unknown simd mode '" + value + "'";
   }
   return "unknown session option '" + name + "'";
 }
@@ -129,8 +94,8 @@ std::vector<std::pair<std::string, std::string>> SessionOptions::Serialize()
       {"threads", std::to_string(bmo.num_threads)},
       {"timeout_ms", std::to_string(timeout_ms)},
       {"vectorize", bmo.vectorize ? "on" : "off"},
-      {"algorithm", AlgorithmName(bmo.algorithm)},
-      {"simd", SimdName(bmo.simd)},
+      {"algorithm", BmoAlgorithmName(bmo.algorithm)},
+      {"simd", SimdModeName(bmo.simd)},
       {"max_pending_deltas", std::to_string(max_pending_deltas)},
   };
 }

@@ -10,7 +10,7 @@
 //                          default — the worker pool is the parallelism)
 //   timeout_ms=<n>         per-query deadline (0 = none)
 //   vectorize=on|off       score-table kernels vs closure baseline
-//   algorithm=auto|naive|bnl|sfs|dc|parallel
+//   algorithm=auto|naive|bnl|sfs|dc|decomposition|parallel
 //   simd=auto|off|scalar|avx2
 //   max_pending_deltas=<n> per-subscription server-side delta bound
 //                          before coalescing (0 = engine default);

@@ -126,9 +126,9 @@ TEST(DivideConquerTest, ApplicabilityDetection) {
 
 TEST(DivideConquerTest, MaximaOnKnownPoints) {
   // Maximize both dims: skyline of a staircase.
-  std::vector<std::vector<double>> pts = {
-      {1, 9}, {2, 8}, {3, 7}, {3, 9}, {0, 0}, {9, 1}, {9, 1}};
-  std::vector<bool> max = MaximaDivideConquer(pts);
+  // Row-major: point i is (pts[2i], pts[2i+1]).
+  std::vector<double> pts = {1, 9, 2, 8, 3, 7, 3, 9, 0, 0, 9, 1, 9, 1};
+  std::vector<bool> max = MaximaDivideConquerFlat(pts.data(), 7, 2, 2);
   EXPECT_FALSE(max[0]);  // (1,9) < (3,9)
   EXPECT_FALSE(max[1]);  // (2,8) < (3,9)
   EXPECT_FALSE(max[2]);  // (3,7) < (3,9)
@@ -139,8 +139,8 @@ TEST(DivideConquerTest, MaximaOnKnownPoints) {
 }
 
 TEST(DivideConquerTest, OneDimensionalMaxima) {
-  std::vector<std::vector<double>> pts = {{3}, {9}, {9}, {1}};
-  std::vector<bool> max = MaximaDivideConquer(pts);
+  std::vector<double> pts = {3, 9, 9, 1};
+  std::vector<bool> max = MaximaDivideConquerFlat(pts.data(), 4, 1, 1);
   EXPECT_EQ(max, (std::vector<bool>{false, true, true, false}));
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <random>
 #include <thread>
 
@@ -420,6 +421,51 @@ TEST(EngineTest, DegenerateSingleGroupKeepsParallelEligibility) {
   EXPECT_EQ(par.relation, seq.relation);
   EXPECT_TRUE(par.relation.SameRows(
       BmoGroupBy(r, Pareto(Lowest("a"), Lowest("b")), {"g"})));
+}
+
+TEST(EngineTest, GroupsFollowTheUngroupedCompilePolicy) {
+  // A GROUPING block compiles like an ungrouped one: zero-copy over
+  // mostly-distinct numeric groups, the deduplicating gather once the same
+  // data is quantized. Either way the engine answers exactly what the
+  // relation-level evaluator does, closure or vectorized, at any thread
+  // count.
+  Schema s({{"g", ValueType::kString},
+            {"a", ValueType::kDouble},
+            {"b", ValueType::kDouble}});
+  Relation distinct(s);
+  Relation quantized(s);
+  std::mt19937_64 rng(29);
+  std::uniform_real_distribution<double> unit(0.0, 100.0);
+  const char* keys[] = {"x", "y", "z"};
+  for (int i = 0; i < 1800; ++i) {
+    const double a = unit(rng);
+    const double b = unit(rng);
+    distinct.Add({keys[i % 3], a, b});
+    quantized.Add({keys[i % 3], std::floor(a / 20.0), std::floor(b / 20.0)});
+  }
+  PrefPtr p = Pareto(Lowest("a"), Highest("b"));
+  const std::string sql =
+      "EXPLAIN SELECT * FROM t PREFERRING LOWEST(a) AND HIGHEST(b) "
+      "GROUPING g";
+  for (const auto& [r, mode] :
+       {std::pair<const Relation*, std::string>{&distinct, "zero-copy x3"},
+        std::pair<const Relation*, std::string>{&quantized, "gather x3"}}) {
+    Engine engine;
+    engine.RegisterTable("t", *r);
+    psql::QueryResult res = engine.Execute(sql);
+    EXPECT_NE(res.plan_details.find("compile: " + mode + "\n"),
+              std::string::npos)
+        << res.plan_details;
+    BmoOptions closure;
+    closure.vectorize = false;
+    EXPECT_TRUE(res.relation == BmoGroupBy(*r, p, {"g"}, closure)) << mode;
+    for (size_t threads : {1u, 4u}) {
+      BmoOptions vectorized;
+      vectorized.num_threads = threads;
+      EXPECT_TRUE(res.relation == BmoGroupBy(*r, p, {"g"}, vectorized))
+          << mode << " threads=" << threads;
+    }
+  }
 }
 
 TEST(EngineTest, ExplainReportsEstimatedVersusActualCost) {
