@@ -421,33 +421,22 @@ int RunLoad(const DriverOptions& opt,
     // a single pass to be trustworthy on a loaded runner.
     constexpr size_t kPipeClients = 2;
     size_t pipe_per_client = std::max<size_t>(opt.per_client, 4096);
-    auto run_pass = [&](size_t clients, size_t depth, size_t per_client,
-                        bool subscribe_odd, bool first, ScenarioResult* best) {
-      ScenarioResult pass;
-      if (!RunScenario(*pipe_endpoint, mix, clients, depth, per_client,
-                       subscribe_odd, &pass)) {
-        return false;
+    auto best_of = [&](size_t clients, size_t depth, size_t per_client,
+                       bool subscribe_odd, ScenarioResult* out) {
+      for (size_t r = 0; r < opt.repeat + 2; ++r) {
+        ScenarioResult pass;
+        if (!RunScenario(*pipe_endpoint, mix, clients, depth, per_client,
+                         subscribe_odd, &pass)) {
+          return false;
+        }
+        if (r == 0 || pass.throughput_ns < out->throughput_ns) *out = pass;
       }
-      if (first || pass.throughput_ns < best->throughput_ns) *best = pass;
       return true;
     };
-    // The two sides of the ratio run as pairs of passes, alternating
-    // which depth goes first: a shift in host load between passes then
-    // lands on both sides instead of skewing whichever ran second.
     ScenarioResult d1, d8, wide;
-    for (size_t r = 0; r < opt.repeat + 2; ++r) {
-      const bool first = r == 0;
-      const bool ok =
-          r % 2 == 0
-              ? run_pass(kPipeClients, 1, pipe_per_client, false, first,
-                         &d1) &&
-                    run_pass(kPipeClients, 8, pipe_per_client, false, first,
-                             &d8)
-              : run_pass(kPipeClients, 8, pipe_per_client, false, first,
-                         &d8) &&
-                    run_pass(kPipeClients, 1, pipe_per_client, false, first,
-                             &d1);
-      if (!ok) return 1;
+    if (!best_of(kPipeClients, 1, pipe_per_client, false, &d1) ||
+        !best_of(kPipeClients, 8, pipe_per_client, false, &d8)) {
+      return 1;
     }
     double speedup = d1.throughput_ns / d8.throughput_ns;
     std::printf("pipelining on %zu-row tables, c%zu x %zu queries:\n",
@@ -462,10 +451,8 @@ int RunLoad(const DriverOptions& opt,
 
     // 256 mixed sessions: every session pipelines at depth 4, odd ones
     // also hold a skyline subscription so delta frames share the wire.
-    for (size_t r = 0; r < opt.repeat + 2; ++r) {
-      if (!run_pass(256, 4, 32, /*subscribe_odd=*/true, r == 0, &wide)) {
-        return 1;
-      }
+    if (!best_of(256, 4, 32, /*subscribe_odd=*/true, &wide)) {
+      return 1;
     }
     std::printf("  256-session mixed %10.3f us/query\n",
                 wide.throughput_ns / 1e3);

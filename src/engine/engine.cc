@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -696,20 +695,13 @@ std::shared_ptr<const engine_internal::Exec> Engine::GetOrBuildExec(
   std::shared_ptr<const Relation> snapshot;
   uint64_t version = 0;
   std::string key;
-  if (options_.enable_exec_cache) {
-    // Everything but the version is known before locking; the critical
-    // section only appends the version's digits into reserved capacity.
-    key = plan.key + "|" + OptionsSignature(options) + "|v";
-    key.reserve(key.size() + 20);
-  }
   {
     auto lock = Lock();
     snapshot = catalog_.GetShared(plan.stmt.table);  // throws when unknown
     version = catalog_.Version(plan.stmt.table);
     if (options_.enable_exec_cache) {
-      char digits[20];
-      key.append(digits,
-                 std::to_chars(digits, digits + sizeof(digits), version).ptr);
+      key = plan.key + "|" + OptionsSignature(options) + "|v" +
+            std::to_string(version);
       if (auto cached = exec_cache_.Get(key)) {
         ++stats_.exec_hits;
         stats->exec_cache_hit = true;
@@ -974,16 +966,7 @@ std::unique_lock<std::mutex> Engine::Lock() const {
   std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
   if (!lock.owns_lock()) {
     lock_contentions_.fetch_add(1, std::memory_order_relaxed);
-    // The mutex is only held for cache-index and catalog lookups (a few
-    // hundred nanoseconds), far shorter than a futex sleep and wakeup:
-    // retry briefly before blocking.
-    constexpr int kSpins = 128;
-    for (int spin = 0; spin < kSpins && !lock.try_lock(); ++spin) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-    if (!lock.owns_lock()) lock.lock();
+    lock.lock();
   }
   lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   return lock;

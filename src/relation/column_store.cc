@@ -34,10 +34,7 @@ void Column::Append(const Value& v) {
       break;
     case ValueType::kInt:
       nums.push_back(static_cast<double>(v.as_int()));
-      if (ints.empty() && row > 0) {
-        ints.reserve(tags.capacity());
-        ints.resize(row, 0);
-      }
+      if (ints.empty() && row > 0) ints.resize(row, 0);
       ++int_count;
       break;
     case ValueType::kDouble:
@@ -46,10 +43,7 @@ void Column::Append(const Value& v) {
       break;
     case ValueType::kString: {
       nums.push_back(0.0);
-      if (codes.empty() && row > 0) {
-        codes.reserve(tags.capacity());
-        codes.resize(row, 0);
-      }
+      if (codes.empty() && row > 0) codes.resize(row, 0);
       if (dict == nullptr) {
         dict = std::make_shared<StringDict>();
       } else if (dict.use_count() > 1 && !dict->Find(v.as_string())) {
@@ -63,14 +57,10 @@ void Column::Append(const Value& v) {
       break;
     }
   }
-  // A shadow buffer allocated mid-load takes the tag buffer's capacity,
-  // so a Reserve()d bulk load does not regrow it row by row.
   if (!ints.empty() || int_count == 1) {
-    if (ints.empty()) ints.reserve(tags.capacity());
     ints.push_back(v.is_int() ? v.as_int() : 0);
   }
   if (!codes.empty() || (v.is_string() && string_count == 1)) {
-    if (codes.empty()) codes.reserve(tags.capacity());
     codes.push_back(v.is_string() ? dict->Intern(v.as_string()) : 0);
   }
 }
@@ -113,17 +103,6 @@ void ColumnStore::AppendRow(const Tuple& t) {
     MutableColumn(c)->Append(t[c]);
   }
   ++nrows_;
-}
-
-void ColumnStore::Reserve(size_t extra) {
-  if (perm_ != nullptr) Flatten();
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    Column& col = *MutableColumn(c);
-    col.tags.reserve(nrows_ + extra);
-    col.nums.reserve(nrows_ + extra);
-    if (!col.ints.empty()) col.ints.reserve(nrows_ + extra);
-    if (!col.codes.empty()) col.codes.reserve(nrows_ + extra);
-  }
 }
 
 ColumnStore ColumnStore::ProjectColumns(const std::vector<size_t>& cols) const {

@@ -101,10 +101,6 @@ class ColumnStore {
   /// first; shared columns are cloned before the append (per-column COW).
   void AppendRow(const Tuple& t);
 
-  /// Capacity for `extra` more AppendRow calls without regrowing the
-  /// column buffers (a bulk load knows its row count up front).
-  void Reserve(size_t extra);
-
   /// Column-sharing projection: the returned store references the chosen
   /// column buffers (and this store's permutation) without copying.
   ColumnStore ProjectColumns(const std::vector<size_t>& cols) const;

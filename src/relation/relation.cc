@@ -54,7 +54,6 @@ bool CellsEqual(const Column& ca, size_t a, const Column& cb, size_t b) {
 
 Relation::Relation(Schema schema, std::vector<Tuple> tuples)
     : schema_(std::move(schema)), store_(schema_.size()) {
-  store_.Reserve(tuples.size());
   for (Tuple& t : tuples) Add(std::move(t));
 }
 

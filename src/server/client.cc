@@ -29,8 +29,6 @@ Client::~Client() { Close(); }
 
 Client::Client(Client&& other) noexcept
     : fd_(other.fd_),
-      in_(std::move(other.in_)),
-      unsent_(std::move(other.unsent_)),
       version_(other.version_),
       next_request_id_(other.next_request_id_),
       outstanding_(std::move(other.outstanding_)),
@@ -42,8 +40,6 @@ Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    in_ = std::move(other.in_);
-    unsent_ = std::move(other.unsent_);
     version_ = other.version_;
     next_request_id_ = other.next_request_id_;
     outstanding_ = std::move(other.outstanding_);
@@ -82,7 +78,7 @@ void Client::Connect(const std::string& host, uint16_t port,
     SendRawBytes(EncodeFrame(
         Frame{FrameType::kHello, EncodeHello(options.protocol_version)}));
     Frame reply;
-    if (!ReadNextFrame(&reply)) {
+    if (ReadFrame(fd_, &reply, UINT32_MAX) != ReadStatus::kOk) {
       Close();
       throw psql::ServerError("connection closed during version handshake");
     }
@@ -107,35 +103,24 @@ void Client::Connect(const std::string& host, uint16_t port,
 
 void Client::Close() {
   if (fd_ >= 0) {
-    // Deferred requests still go out: a client that sends and closes
-    // without reading has always had its requests reach the server.
-    if (!unsent_.empty()) WriteFully(fd_, unsent_);
     close(fd_);
     fd_ = -1;
   }
-  unsent_.clear();
-  in_ = FrameAssembler(UINT32_MAX);
   outstanding_.clear();
   version_ = kProtocolV1;
 }
 
 void Client::SendRawBytes(const std::string& bytes) {
   if (fd_ < 0) throw psql::ServerError("not connected");
-  FlushSends();  // keep the wire in call order
   if (!WriteFully(fd_, bytes)) throw psql::ServerError("send failed");
-}
-
-void Client::FlushSends() {
-  if (unsent_.empty()) return;
-  const bool ok = WriteFully(fd_, unsent_);
-  unsent_.clear();
-  if (!ok) throw psql::ServerError("send failed");
 }
 
 Frame Client::ReadResponse() {
   if (fd_ < 0) throw psql::ServerError("not connected");
   Frame frame;
-  if (!ReadNextFrame(&frame)) {
+  // Responses are server-sized; accept anything the server can produce.
+  ReadStatus status = ReadFrame(fd_, &frame, UINT32_MAX);
+  if (status != ReadStatus::kOk) {
     Close();
     throw psql::ServerError("connection closed by server");
   }
@@ -146,16 +131,6 @@ Frame Client::ReadResponse() {
     }
   }
   return frame;
-}
-
-bool Client::ReadNextFrame(Frame* frame) {
-  // Responses are server-sized: the assembler accepts any length the
-  // header can declare, so TryNext never reports kOversized here.
-  while (in_.TryNext(frame) != FrameAssembler::Next::kFrame) {
-    FlushSends();  // never block on a response to an unsent request
-    if (!ReadSome(fd_, &in_)) return false;
-  }
-  return true;
 }
 
 Client::ResponseFuture Client::Send(const Frame& frame) {
@@ -172,15 +147,8 @@ Client::ResponseFuture Client::Send(const Frame& frame) {
                          : EncodeFrame(frame);
   auto slot = std::make_shared<ResponseFuture::Slot>();
   outstanding_.emplace(request_id, slot);
-  // A pipelining caller retires a response and refills its window one
-  // request at a time. While a complete response is already buffered,
-  // that caller will consume it without blocking, so the request waits
-  // and goes out with the ones that follow it before the next blocking
-  // read: one write and one server wakeup for the batch instead of one
-  // per request.
-  unsent_ += wire;
   try {
-    if (!in_.has_frame()) FlushSends();
+    SendRawBytes(wire);
   } catch (...) {
     outstanding_.erase(request_id);
     throw;
@@ -191,7 +159,8 @@ Client::ResponseFuture Client::Send(const Frame& frame) {
 uint64_t Client::PumpOne() {
   if (fd_ < 0) throw psql::ServerError("not connected");
   Frame frame;
-  if (!ReadNextFrame(&frame)) {
+  ReadStatus status = ReadFrame(fd_, &frame, UINT32_MAX);
+  if (status != ReadStatus::kOk) {
     Close();
     throw psql::ServerError("connection closed by server");
   }
@@ -327,9 +296,7 @@ std::optional<WireDelta> Client::ReadDelta(uint64_t timeout_ms) {
         std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
             .count();
     if (remaining < 0) remaining = 0;
-    FlushSends();
-    if (!in_.has_frame() &&
-        !WaitReadable(fd_, static_cast<uint64_t>(remaining))) {
+    if (!WaitReadable(fd_, static_cast<uint64_t>(remaining))) {
       return std::nullopt;
     }
     // May resolve an outstanding future instead of yielding a delta —

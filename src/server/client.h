@@ -7,15 +7,12 @@
 // The client speaks protocol v2 by default (negotiated by a kHello
 // handshake on Connect) and exposes two surfaces over one socket:
 //
-//   async     Send*(...) writes the request and returns a
+//   async     Send*(...) writes the request immediately and returns a
 //             ResponseFuture. Many futures may be outstanding at once
 //             (pipelining); responses are routed back by request id, so
 //             completion order does not matter. Futures are lazily
-//             pumped: the socket is only read inside Get()/ReadDelta(),
-//             on the caller's thread — there is no background thread.
-//             Responses are read in bulk; while a complete one is still
-//             buffered unread, Send*() holds its request back and the
-//             next read writes all held requests in one batch.
+//             pumped: the socket is only read inside Get()/ready(), on
+//             the caller's thread — there is no background thread.
 //   blocking  Query()/Prepare()/... are one-liners over the async
 //             surface (Send + Get), preserving the original
 //             request/response API.
@@ -39,7 +36,6 @@
 #include "relation/relation.h"
 #include "server/protocol.h"
 #include "server/session_options.h"
-#include "server/wire_io.h"
 
 namespace prefdb::server {
 
@@ -184,21 +180,9 @@ class Client {
   /// Reads one frame and routes it: a delta is stashed, a response
   /// resolves its future. Returns the routed frame's request id.
   uint64_t PumpOne();
-  /// Blocks until the next whole frame is buffered and extracts it;
-  /// false on EOF or transport error. Each read pulls as much as the
-  /// kernel holds, so a burst of pipelined responses costs one syscall.
-  bool ReadNextFrame(Frame* frame);
-  /// Writes the requests Send() deferred; throws on transport error.
-  void FlushSends();
   static ClientResponse ParseResponse(Frame reply);
 
   int fd_ = -1;
-  /// Bytes read off the socket but not yet consumed as frames.
-  FrameAssembler in_{UINT32_MAX};
-  /// Encoded requests not yet written. Send() defers while a complete
-  /// response is buffered; every read, SendRawBytes and Close writes
-  /// them first.
-  std::string unsent_;
   uint32_t version_ = kProtocolV1;
   uint64_t next_request_id_ = 1;
   std::unordered_map<uint64_t, std::shared_ptr<ResponseFuture::Slot>>

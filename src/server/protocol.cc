@@ -1,7 +1,6 @@
 #include "server/protocol.h"
 
 #include <cerrno>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,69 +9,10 @@ namespace prefdb::server {
 
 namespace {
 
-/// Appends `v` exactly as printf's "%.17g" renders it (to_chars with a
-/// precision is specified as that printf conversion), without the
-/// format-string parse or a temporary string.
-void AppendDouble(double v, std::string* out) {
+std::string FormatDouble(double v) {
   char buf[64];
-  char* end =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 17)
-          .ptr;
-  out->append(buf, end);
-}
-
-void AppendInt(int64_t v, std::string* out) {
-  char buf[24];
-  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
-}
-
-void AppendString(const std::string& s, std::string* out) {
-  out->push_back('S');
-  AppendInt(static_cast<int64_t>(s.size()), out);
-  out->push_back(':');
-  *out += s;
-}
-
-void AppendValue(const Value& value, std::string* out) {
-  switch (value.type()) {
-    case ValueType::kNull:
-      out->push_back('N');
-      return;
-    case ValueType::kInt:
-      out->push_back('I');
-      AppendInt(value.as_int(), out);
-      return;
-    case ValueType::kDouble:
-      out->push_back('D');
-      AppendDouble(value.as_double(), out);
-      return;
-    case ValueType::kString:
-      AppendString(value.as_string(), out);
-      return;
-  }
-  out->push_back('N');
-}
-
-/// AppendValue for one cell of a column buffer, read in place: no Value
-/// (and no string copy) is materialized.
-void AppendCell(const Column& col, size_t row, std::string* out) {
-  switch (col.TagAt(row)) {
-    case ValueType::kNull:
-      out->push_back('N');
-      return;
-    case ValueType::kInt:
-      out->push_back('I');
-      AppendInt(col.ints[row], out);
-      return;
-    case ValueType::kDouble:
-      out->push_back('D');
-      AppendDouble(col.nums[row], out);
-      return;
-    case ValueType::kString:
-      AppendString(col.dict->At(col.codes[row]), out);
-      return;
-  }
-  out->push_back('N');
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 std::optional<ValueType> ParseTypeName(const std::string& name) {
@@ -179,98 +119,76 @@ std::optional<uint32_t> ParseHello(const std::string& payload) {
 }
 
 std::string EncodeValue(const Value& value) {
-  std::string out;
-  AppendValue(value, &out);
-  return out;
+  switch (value.type()) {
+    case ValueType::kNull:
+      return "N";
+    case ValueType::kInt:
+      return "I" + std::to_string(value.as_int());
+    case ValueType::kDouble:
+      return "D" + FormatDouble(value.as_double());
+    case ValueType::kString:
+      return "S" + std::to_string(value.as_string().size()) + ":" +
+             value.as_string();
+  }
+  return "N";
 }
 
 void EncodeRow(const Tuple& row, std::string* out) {
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) out->push_back(' ');
-    AppendValue(row[i], out);
+    *out += EncodeValue(row[i]);
   }
   out->push_back('\n');
 }
 
 namespace {
 
-/// Index of the ' ' or '\n' that ends the numeric field at `pos`, or
-/// npos when the payload ends first.
-size_t FieldEnd(const std::string& data, size_t pos) {
-  while (pos < data.size() && data[pos] != ' ' && data[pos] != '\n') ++pos;
-  return pos < data.size() ? pos : std::string::npos;
-}
-
-/// The encoder's integer form: an optional '-' and 1..18 digits, which
-/// cannot overflow int64_t, so the value is exactly what strtoll returns.
-bool ParsePlainInt(const char* first, const char* last, int64_t* out) {
-  const bool negative = first < last && *first == '-';
-  if (negative) ++first;
-  if (first == last || last - first > 18) return false;
-  int64_t v = 0;
-  for (; first < last; ++first) {
-    if (*first < '0' || *first > '9') return false;
-    v = v * 10 + (*first - '0');
-  }
-  *out = negative ? -v : v;
-  return true;
-}
-
-/// Numeric fields are parsed in place. The fast paths (plain digits,
-/// from_chars) cover everything the encoder writes; any field they
-/// reject falls back to strto* on the payload's own NUL-terminated
-/// buffer, accepted only when the parse ends exactly at the field's
-/// delimiter. Acceptance and values are therefore exactly those of
-/// strto* over a copy of the field, without allocating one.
 std::optional<Value> DecodeValue(const std::string& data, size_t* pos) {
   if (*pos >= data.size()) return std::nullopt;
   char tag = data[*pos];
   ++*pos;
-  const char* text = data.c_str() + *pos;
-  char* parsed_end = nullptr;
   switch (tag) {
     case 'N':
       return Value();
     case 'I': {
-      size_t end = FieldEnd(data, *pos);
-      if (end == std::string::npos || end == *pos) return std::nullopt;
-      const char* field_end = data.c_str() + end;
-      int64_t v = 0;
-      if (!ParsePlainInt(text, field_end, &v)) {
-        errno = 0;
-        long long slow = std::strtoll(text, &parsed_end, 10);
-        if (errno != 0 || parsed_end != field_end) return std::nullopt;
-        v = static_cast<int64_t>(slow);
+      size_t end = data.find_first_of(" \n", *pos);
+      if (end == std::string::npos) return std::nullopt;
+      errno = 0;
+      char* parsed_end = nullptr;
+      std::string text = data.substr(*pos, end - *pos);
+      long long v = std::strtoll(text.c_str(), &parsed_end, 10);
+      if (errno != 0 || parsed_end == text.c_str() || *parsed_end != '\0') {
+        return std::nullopt;
       }
       *pos = end;
-      return Value(v);
+      return Value(static_cast<int64_t>(v));
     }
     case 'D': {
-      size_t end = FieldEnd(data, *pos);
-      if (end == std::string::npos || end == *pos) return std::nullopt;
-      const char* field_end = data.c_str() + end;
-      double v = 0.0;
-      // from_chars accepts a subset of strtod's syntax and rounds the
-      // same way; out-of-range and non-decimal forms take the strtod path.
-      std::from_chars_result fast = std::from_chars(text, field_end, v);
-      if (fast.ec != std::errc() || fast.ptr != field_end) {
-        v = std::strtod(text, &parsed_end);
-        if (parsed_end != field_end) return std::nullopt;
+      size_t end = data.find_first_of(" \n", *pos);
+      if (end == std::string::npos) return std::nullopt;
+      char* parsed_end = nullptr;
+      std::string text = data.substr(*pos, end - *pos);
+      double v = std::strtod(text.c_str(), &parsed_end);
+      if (parsed_end == text.c_str() || *parsed_end != '\0') {
+        return std::nullopt;
       }
       *pos = end;
       return Value(v);
     }
     case 'S': {
       size_t colon = data.find(':', *pos);
-      if (colon == std::string::npos || colon == *pos) return std::nullopt;
+      if (colon == std::string::npos) return std::nullopt;
       errno = 0;
-      unsigned long long count = std::strtoull(text, &parsed_end, 10);
+      char* parsed_end = nullptr;
+      std::string count_text = data.substr(*pos, colon - *pos);
+      unsigned long long count =
+          std::strtoull(count_text.c_str(), &parsed_end, 10);
       // Compare against the remaining bytes, never `colon + 1 + count`:
       // count comes off the wire and the sum wraps size_t, which would
       // pass the bounds check and then wrap *pos backwards (infinite
       // parse loop on a 17-byte frame).
-      if (errno != 0 || parsed_end != data.c_str() + colon ||
-          count > data.size() - (colon + 1)) {
+      if (errno != 0 || parsed_end == count_text.c_str() ||
+          *parsed_end != '\0' || count > data.size() - (colon + 1)) {
         return std::nullopt;
       }
       *pos = colon + 1 + count;
@@ -283,10 +201,8 @@ std::optional<Value> DecodeValue(const std::string& data, size_t* pos) {
 
 }  // namespace
 
-std::optional<Tuple> DecodeRow(const std::string& data, size_t* pos,
-                               size_t arity_hint) {
+std::optional<Tuple> DecodeRow(const std::string& data, size_t* pos) {
   std::vector<Value> values;
-  values.reserve(arity_hint);
   if (*pos < data.size() && data[*pos] == '\n') {
     ++*pos;
     return Tuple(std::move(values));
@@ -315,24 +231,11 @@ std::string SerializeResult(const psql::QueryResult& result) {
   out += "\nutilities ";
   for (size_t i = 0; i < result.utilities.size(); ++i) {
     if (i > 0) out.push_back(',');
-    AppendDouble(result.utilities[i], &out);
+    out += FormatDouble(result.utilities[i]);
   }
-  out += "\nkernel ";
-  out += result.stats.kernel;
-  out += "\nrows ";
-  AppendInt(static_cast<int64_t>(result.relation.size()), &out);
-  out.push_back('\n');
-  // Rows straight from the column buffers: materializing tuples() would
-  // build a Value per cell only to print it.
-  const ColumnStore& store = result.relation.store();
-  for (size_t r = 0; r < store.rows(); ++r) {
-    const size_t row = store.PhysicalRow(r);
-    for (size_t c = 0; c < store.num_columns(); ++c) {
-      if (c > 0) out.push_back(' ');
-      AppendCell(store.column(c), row, &out);
-    }
-    out.push_back('\n');
-  }
+  out += "\nkernel " + result.stats.kernel;
+  out += "\nrows " + std::to_string(result.relation.size()) + "\n";
+  for (const Tuple& row : result.relation.tuples()) EncodeRow(row, &out);
   return out;
 }
 
@@ -378,7 +281,7 @@ std::optional<WireResult> ParseResult(const std::string& payload) {
   std::vector<Tuple> tuples;
   tuples.reserve(row_count);
   for (unsigned long long i = 0; i < row_count; ++i) {
-    auto row = DecodeRow(payload, &pos, attrs.size());
+    auto row = DecodeRow(payload, &pos);
     if (!row || row->size() != attrs.size()) return std::nullopt;
     tuples.push_back(std::move(*row));
   }
@@ -423,7 +326,7 @@ std::optional<std::vector<Tuple>> ParseRowBlock(const std::string& payload,
   std::vector<Tuple> rows;
   rows.reserve(*count);
   for (uint64_t i = 0; i < *count; ++i) {
-    auto row = DecodeRow(payload, pos, arity);
+    auto row = DecodeRow(payload, pos);
     if (!row || row->size() != arity) return std::nullopt;
     rows.push_back(std::move(*row));
   }

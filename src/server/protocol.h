@@ -164,10 +164,8 @@ std::string EncodeValue(const Value& value);
 void EncodeRow(const Tuple& row, std::string* out);
 
 /// Parses one encoded row starting at `*pos` (advances past the trailing
-/// '\n'). Returns nullopt on malformed input. `arity_hint` is the value
-/// capacity reserved up front (the schema's arity, when known).
-std::optional<Tuple> DecodeRow(const std::string& data, size_t* pos,
-                               size_t arity_hint = 0);
+/// '\n'). Returns nullopt on malformed input.
+std::optional<Tuple> DecodeRow(const std::string& data, size_t* pos);
 
 /// QueryResult wire rendering:
 ///

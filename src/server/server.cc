@@ -76,11 +76,7 @@ struct Job {
 };
 
 /// The bounded admission queue. Push never blocks: a full queue is the
-/// backpressure signal (OVERLOADED), not a place to wait. Push does not
-/// wake a worker either: the event loop calls WakeWorkers() once it is
-/// done with its pass and about to wait. A woken worker tends to be
-/// scheduled onto the waker's CPU ahead of it, so waking mid-pass would
-/// stall the loop — and every connection it serves — behind one query.
+/// backpressure signal (OVERLOADED), not a place to wait.
 class JobQueue {
  public:
   enum class PushResult { kAdmitted, kFull, kStopping };
@@ -93,23 +89,10 @@ class JobQueue {
       if (stopping_) return PushResult::kStopping;
       if (jobs_.size() >= capacity_) return PushResult::kFull;
       jobs_.push_back(std::move(job));
-      ++unsignaled_;
       if (jobs_.size() > *peak_depth) *peak_depth = jobs_.size();
     }
+    cv_.notify_one();
     return PushResult::kAdmitted;
-  }
-
-  /// Wakes one waiting worker per job pushed since the last call (jobs a
-  /// running worker already took need none; notifying with no waiter is
-  /// a no-op).
-  void WakeWorkers() {
-    size_t n;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      n = std::min(unsignaled_, jobs_.size());
-      unsignaled_ = 0;
-    }
-    for (size_t i = 0; i < n; ++i) cv_.notify_one();
   }
 
   /// Blocks for the next job; nullptr once stopping and drained.
@@ -137,7 +120,6 @@ class JobQueue {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<Job>> jobs_;
-  size_t unsignaled_ = 0;  // pushed since the last WakeWorkers()
   bool stopping_ = false;
 };
 
@@ -182,18 +164,13 @@ struct Connection {
   std::atomic<bool> deltas_pending{false};
   /// debug_push_delay_ms pacing: no delta drain before this instant.
   Clock::time_point next_delta_drain{};
-  /// Bytes taken from out_buf and being written to the socket. The loop
-  /// sends from here without holding out_mu, so a worker completing
-  /// onto this connection never waits behind a send() syscall.
-  std::string send_buf;
-  size_t send_off = 0;
 
   // --- shared with worker threads, guarded by out_mu
   std::mutex out_mu;
   /// Torn down: workers drop completions instead of appending.
   bool closed = false;
-  /// Encoded frames not yet handed to the send stage (send_buf).
   std::string out_buf;
+  size_t out_off = 0;
   /// Requests admitted to the worker pool and not yet answered.
   std::unordered_map<uint64_t, std::shared_ptr<Job>> inflight;
   /// A goodbye was received but not yet acknowledged: the ack (tagged
@@ -240,18 +217,6 @@ struct Server::Impl {
   /// it: a capped read left bytes in the kernel, or a flush lifted a
   /// backpressure pause. Drained once per loop iteration.
   std::vector<uint64_t> resume_reads_;
-  /// Lower bound on every in-flight deadline (max() when nothing is in
-  /// flight): AdmitJob lowers it, and only once it passes does the loop
-  /// walk the in-flight tables, expiring what is due and recomputing
-  /// the bound. A job that completes leaves it early, which costs one
-  /// spurious walk, never a late timeout.
-  Clock::time_point next_deadline_ = Clock::time_point::max();
-  /// Set (after the connection's own deltas_pending) by subscription
-  /// notifiers, so DrainDeltas walks the connections only when some
-  /// connection has deltas waiting. Shared with the notifiers, which
-  /// may still be running on a mutating thread after a teardown.
-  std::shared_ptr<std::atomic<bool>> deltas_signaled_ =
-      std::make_shared<std::atomic<bool>>(false);
 
   /// Connections with fresh worker-completed bytes awaiting a flush;
   /// workers append ids here and signal the eventfd.
@@ -432,7 +397,6 @@ void Server::Impl::Stop() {
 void Server::Impl::EventLoop() {
   std::vector<epoll_event> events(128);
   for (;;) {
-    queue_->WakeWorkers();  // this pass's admissions, now that it is done
     Clock::time_point now = Clock::now();
     int timeout_ms = ComputeTimeoutMs(now);
     int n = epoll_wait(epoll_fd_, events.data(),
@@ -716,10 +680,8 @@ void Server::Impl::DispatchFrame(const std::shared_ptr<Connection>& conn,
             Frame{FrameType::kHandle, std::to_string(sub.handle.id())});
         int wakeup_fd = wakeup_fd_;
         std::shared_ptr<Connection> target = conn;
-        std::shared_ptr<std::atomic<bool>> signaled = deltas_signaled_;
-        sub.handle.SetNotifier([target, wakeup_fd, signaled] {
+        sub.handle.SetNotifier([target, wakeup_fd] {
           target->deltas_pending.store(true);
-          signaled->store(true);
           SignalWakeup(wakeup_fd);
         });
         if (options.debug_push_delay_ms > 0) {
@@ -728,7 +690,6 @@ void Server::Impl::DispatchFrame(const std::shared_ptr<Connection>& conn,
               std::chrono::milliseconds(options.debug_push_delay_ms);
         }
         conn->deltas_pending.store(true);  // the bootstrap is queued
-        deltas_signaled_->store(true);
       } catch (const std::exception& e) {
         queries_error_.fetch_add(1);
         AppendResponse(conn, request_id,
@@ -817,7 +778,6 @@ void Server::Impl::AdmitJob(const std::shared_ptr<Connection>& conn,
     job->has_deadline = true;
     job->deadline =
         Clock::now() + std::chrono::milliseconds(job->timeout_ms);
-    next_deadline_ = std::min(next_deadline_, job->deadline);
   }
   uint64_t delay_ms = options.debug_execute_delay_ms;
   if (!options.debug_delay_substring.empty() &&
@@ -897,11 +857,6 @@ void Server::Impl::WorkerLoop() {
 
 void Server::Impl::CompleteJob(const std::shared_ptr<Job>& job, Frame frame) {
   std::shared_ptr<Connection> conn = std::move(job->conn);
-  // Encoded before locking: out_mu is shared with every other worker
-  // completing onto this connection and with the loop's flush. A dropped
-  // completion (rare: deadline or teardown) wastes only the encode.
-  const std::string wire =
-      EncodeForVersion(conn->version, job->request_id, frame);
   bool appended = false;
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
@@ -918,23 +873,16 @@ void Server::Impl::CompleteJob(const std::shared_ptr<Job>& job, Frame frame) {
       } else {
         queries_ok_.fetch_add(1);
       }
-      conn->out_buf += wire;
+      conn->out_buf += EncodeForVersion(conn->version, job->request_id, frame);
       appended = true;
     }
   }
   if (appended) {
-    // Only the completion that finds the list empty signals: a nonempty
-    // list means an earlier completion's signal is still owed to the
-    // loop, whose next HandlePendingSignals swaps this id out with it.
-    // Under pipelining this turns a burst of completions into one
-    // eventfd write and one loop wakeup.
-    bool first;
     {
       std::lock_guard<std::mutex> lock(pending_mu_);
-      first = pending_.empty();
       pending_.push_back(conn->id);
     }
-    if (first) SignalWakeup(wakeup_fd_);
+    SignalWakeup(wakeup_fd_);
   }
 }
 
@@ -952,18 +900,14 @@ void Server::Impl::HandlePendingSignals() {
 }
 
 void Server::Impl::DrainDeltas(Clock::time_point now) {
-  if (!deltas_signaled_->exchange(false)) return;
-  bool deferred = false;
   for (const auto& conn : SnapshotConns()) {
     if (conn->torn_down || !conn->deltas_pending.load()) continue;
     if (OutBufOverLimit(conn)) {
       // Deferred until the client drains (the flag stays set; the
       // engine-side max_pending_deltas coalescing bounds the backlog).
-      deferred = true;
       continue;
     }
     if (options.debug_push_delay_ms > 0 && now < conn->next_delta_drain) {
-      deferred = true;
       continue;  // paced; ComputeTimeoutMs schedules the retry
     }
     // Clear before polling: a push landing mid-drain re-sets the flag
@@ -987,13 +931,9 @@ void Server::Impl::DrainDeltas(Clock::time_point now) {
     }
     if (wrote) FlushAndSettle(conn);
   }
-  // Connections skipped above still owe a drain: walk again next pass.
-  if (deferred) deltas_signaled_->store(true);
 }
 
 void Server::Impl::ExpireDeadlines(Clock::time_point now) {
-  if (now <= next_deadline_) return;  // nothing can be due yet
-  Clock::time_point next = Clock::time_point::max();
   for (const auto& conn : SnapshotConns()) {
     if (conn->torn_down) continue;
     bool wrote = false;
@@ -1013,25 +953,28 @@ void Server::Impl::ExpireDeadlines(Clock::time_point now) {
           it = conn->inflight.erase(it);
           wrote = true;
         } else {
-          if (job->has_deadline && job->deadline < next) next = job->deadline;
           ++it;
         }
       }
     }
     if (wrote) FlushAndSettle(conn);
   }
-  next_deadline_ = next;
 }
 
 int Server::Impl::ComputeTimeoutMs(Clock::time_point now) {
   if (!resume_reads_.empty()) return 0;  // a read pass is already owed
-  Clock::time_point next = next_deadline_;
-  if (options.debug_push_delay_ms > 0) {
-    for (const auto& [id, conn] : conns_) {
-      if (!conn->torn_down && conn->deltas_pending.load() &&
-          conn->next_delta_drain < next) {
-        next = conn->next_delta_drain;
+  Clock::time_point next = Clock::time_point::max();
+  for (const auto& [id, conn] : conns_) {
+    if (conn->torn_down) continue;
+    {
+      std::lock_guard<std::mutex> lock(conn->out_mu);
+      for (const auto& [rid, job] : conn->inflight) {
+        if (job->has_deadline && job->deadline < next) next = job->deadline;
       }
+    }
+    if (conn->deltas_pending.load() && options.debug_push_delay_ms > 0 &&
+        conn->next_delta_drain < next) {
+      next = conn->next_delta_drain;
     }
   }
   if (next == Clock::time_point::max()) {
@@ -1056,20 +999,15 @@ void Server::Impl::AppendResponse(const std::shared_ptr<Connection>& conn,
 
 Server::Impl::FlushResult Server::Impl::FlushOut(
     const std::shared_ptr<Connection>& conn) {
-  if (conn->torn_down) return FlushResult::kFailed;
-  IoStatus status = IoStatus::kOk;
-  for (;;) {
-    if (conn->send_off >= conn->send_buf.size()) {
-      // The send stage is empty: take everything appended so far in one
-      // swap (the drained buffer's capacity goes back for reuse).
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      if (conn->out_buf.empty()) break;
-      conn->send_buf.clear();
-      conn->send_off = 0;
-      conn->send_buf.swap(conn->out_buf);
+  IoStatus status;
+  {
+    std::lock_guard<std::mutex> lock(conn->out_mu);
+    if (conn->closed) return FlushResult::kFailed;
+    if (conn->out_off >= conn->out_buf.size()) {
+      status = IoStatus::kOk;
+    } else {
+      status = WriteSome(conn->fd, &conn->out_buf, &conn->out_off);
     }
-    status = WriteSome(conn->fd, &conn->send_buf, &conn->send_off);
-    if (status != IoStatus::kOk) break;
   }
   if (status == IoStatus::kOk) {
     if (conn->want_write) {
@@ -1134,16 +1072,14 @@ void Server::Impl::MaybeFinish(const std::shared_ptr<Connection>& conn) {
   {
     std::lock_guard<std::mutex> lock(conn->out_mu);
     done = (conn->draining || conn->read_shut) && conn->inflight.empty() &&
-           !conn->goodbye_pending && conn->out_buf.empty() &&
-           conn->send_off >= conn->send_buf.size();
+           !conn->goodbye_pending && conn->out_off >= conn->out_buf.size();
   }
   if (done) Teardown(conn);
 }
 
 bool Server::Impl::OutBufOverLimit(const std::shared_ptr<Connection>& conn) {
   std::lock_guard<std::mutex> lock(conn->out_mu);
-  return conn->send_buf.size() - conn->send_off + conn->out_buf.size() >=
-         options.max_outbuf_bytes;
+  return conn->out_buf.size() - conn->out_off >= options.max_outbuf_bytes;
 }
 
 void Server::Impl::BeginGoodbye(const std::shared_ptr<Connection>& conn,
@@ -1185,9 +1121,8 @@ void Server::Impl::Teardown(const std::shared_ptr<Connection>& conn) {
     for (auto& [rid, job] : conn->inflight) job->abandoned.store(true);
     conn->inflight.clear();
     conn->out_buf.clear();
+    conn->out_off = 0;
   }
-  conn->send_buf.clear();
-  conn->send_off = 0;
   for (auto& sub : conn->subscriptions) {
     sub.handle.SetNotifier(nullptr);
     sub.handle.Cancel();

@@ -107,16 +107,6 @@ void FrameAssembler::Append(const char* data, size_t len) {
   buf_.append(data, len);
 }
 
-bool FrameAssembler::has_frame() const {
-  if (buffered() < kFrameHeaderBytes) return false;
-  unsigned char header[kFrameHeaderBytes];
-  std::memcpy(header, buf_.data() + pos_, kFrameHeaderBytes);
-  FrameType type;
-  uint32_t len = DecodeFrameHeader(header, &type);
-  return len > max_payload_bytes_ ||
-         buffered() - kFrameHeaderBytes >= len;
-}
-
 FrameAssembler::Next FrameAssembler::TryNext(Frame* frame,
                                              uint32_t* oversized_len) {
   if (buf_.size() - pos_ < kFrameHeaderBytes) return Next::kNeedMore;
@@ -138,19 +128,6 @@ FrameAssembler::Next FrameAssembler::TryNext(Frame* frame,
     pos_ = 0;
   }
   return Next::kFrame;
-}
-
-bool ReadSome(int fd, FrameAssembler* assembler) {
-  char chunk[65536];
-  for (;;) {
-    ssize_t n = recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      assembler->Append(chunk, static_cast<size_t>(n));
-      return true;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
 }
 
 IoStatus ReadAvailable(int fd, FrameAssembler* assembler, size_t max_bytes,

@@ -114,19 +114,11 @@ class FrameAssembler {
   /// Bytes buffered but not yet consumed by TryNext.
   size_t buffered() const { return buf_.size() - pos_; }
 
-  /// True when TryNext would return without kNeedMore.
-  bool has_frame() const;
-
  private:
   size_t max_payload_bytes_;
   std::string buf_;
   size_t pos_ = 0;  // consumed prefix; compacted lazily by Append
 };
-
-/// Blocking read of whatever `fd` holds (at least one byte) into
-/// `assembler`, so one call can pull many pipelined frames. False on EOF
-/// or transport error. The client's read path.
-bool ReadSome(int fd, FrameAssembler* assembler);
 
 /// Drains `fd` toward EAGAIN (mandatory under edge-triggered epoll),
 /// feeding every byte read into `assembler`, but stops once at least
