@@ -73,7 +73,10 @@ const char* SimdModeName(SimdMode mode);
 /// paths).
 struct BmoOptions {
   BmoAlgorithm algorithm = BmoAlgorithm::kAuto;
-  /// Worker threads for kParallel (0 = hardware concurrency).
+  /// Worker threads for kParallel (0 = hardware concurrency). Also an
+  /// input to kAuto's cost comparison: with 0 the chosen plan depends on
+  /// the host's core count, so pin it wherever a plan must be
+  /// reproducible.
   size_t num_threads = 0;
   /// kParallel becomes *eligible* for kAuto at/above this many distinct
   /// values (the cost model still compares it against the sequential

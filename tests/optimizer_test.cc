@@ -80,9 +80,29 @@ TEST(ChooserTest, SelectiveChainHeadOverClosureTailUsesDecomposition) {
   stats.chain_head = true;
   stats.head_distinct = 5;
   stats.est_window = 130.0;
-  PhysicalPlan plan = PlanPhysical(stats, BmoOptions{});
+  // The worker budget is an input to the cost comparison, so it is pinned
+  // (num_threads = 0 would resolve to the host's core count). With the
+  // default constants, closure pairs cost 45 + 8 * 4 = 77 ns:
+  //   closure BNL:  77 ns * 50000 * 130/2 + 2 ns * 50000      = 250.35 ms
+  //   cascade:      40 ns * 50000 * log2(50000)
+  //                 + 77 ns * (50000/5) * 130/2 + 0.10 ms      =  81.37 ms
+  //   parallel, W:  250.35/W ms + 0.03 * W ms + 77 ns * 130^2
+  //                 -> W = 3: 84.84 ms, W = 4: 64.01 ms
+  // One worker leaves parallel ineligible and the cascade wins; it keeps
+  // winning up to W = 3.
+  BmoOptions request;
+  request.num_threads = 1;
+  PhysicalPlan plan = PlanPhysical(stats, request);
   EXPECT_EQ(plan.algorithm, BmoAlgorithm::kDecomposition);
   EXPECT_NE(plan.rationale.find("Prop 11"), std::string::npos);
+
+  // At four workers the partitioned estimate (64.01 ms) undercuts the
+  // cascade (81.37 ms): 50000 / 4096 leaves room for all four partitions.
+  request.num_threads = 4;
+  PhysicalPlan parallel = PlanPhysical(stats, request);
+  EXPECT_EQ(parallel.algorithm, BmoAlgorithm::kParallel);
+  EXPECT_NE(parallel.rationale.find("4 partitions on 4 workers"),
+            std::string::npos);
 }
 
 TEST(ChooserTest, LevelTermsStayEligibleForVectorizedSfs) {
